@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from _bench_utils import min_speedup, record, run_once
+from repro.engine import EngineContext
 from repro.graph.generators import erdos_renyi, random_wc_graph
 from repro.graph.weighting import fixed_probability
 from repro.rrset.node_selection import node_selection
@@ -92,7 +93,9 @@ def _legacy_pipeline(graph, num_sets, k):
 def _batched_pipeline(graph, num_sets, k):
     rng = np.random.default_rng(RNG_SEED)
     t0 = time.perf_counter()
-    coll = RRCollection(graph, rng, backend="batched")
+    coll = RRCollection(
+        graph, ctx=EngineContext.create(backend="batched", rng=rng)
+    )
     coll.generate(num_sets)
     gen_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()

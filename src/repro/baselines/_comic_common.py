@@ -244,21 +244,19 @@ class _GapSampler:
         rng: Optional[np.random.Generator] = None,
         q_plain: float = 0.0,
         q_boosted: float = 0.0,
-        backend: Optional[str] = None,
         *,
         ctx: Optional[EngineContext] = None,
     ):
         if ctx is not None:
-            if rng is not None or backend is not None:
+            if rng is not None:
                 raise TypeError(
-                    "_GapSampler: pass either ctx= or rng=/backend=, "
-                    "not both"
+                    "_GapSampler: pass either ctx= or rng=, not both"
                 )
         else:
-            # Backend resolution happens in the engine, nowhere else: the
-            # legacy (rng, backend) spelling builds an equivalent context
-            # (fresh cursor, default stream) and reads it back.
-            ctx = EngineContext.create(backend=backend, rng=rng)
+            # Backend resolution happens in the engine, nowhere else: a
+            # plain rng builds an equivalent context (fresh cursor) and
+            # reads it back.
+            ctx = EngineContext.create(rng=rng)
         self._graph = graph
         self._rng = ctx.rng
         self._q_plain = q_plain
@@ -495,7 +493,6 @@ def comic_rr_selection(
     rng: Optional[np.random.Generator] = None,
     num_forward_worlds: int = 20,
     extra_forward_pass: bool = False,
-    backend: Optional[str] = None,
     *,
     ctx: Optional[EngineContext] = None,
 ) -> ComICSeedSelection:
@@ -505,9 +502,8 @@ def comic_rr_selection(
     generality tax: it re-estimates the boost after a first selection round).
 
     The context's backend picks the GAP sampling path (``sequential``, or
-    the vectorized path for ``batched``/``parallel``); the removed legacy
-    ``backend=`` keyword raises ``TypeError`` while ``rng=`` stays
-    first-class.
+    the vectorized path for ``batched``/``parallel``); ``rng=`` rides
+    into a fresh context when no ``ctx`` is given.
     The returned ``coverage_fraction`` divides by the full θ — empty RR
     sets from failed root adoption coins included — and RR set ``j``
     (counting from the first KPT sample) is paired with forward world
@@ -515,9 +511,7 @@ def comic_rr_selection(
     cursor (``ctx.cursor``) instead of restarting at world 0.  See the
     module docstring for the rationale of both conventions.
     """
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="comic_rr_selection"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="comic_rr_selection")
     if budget <= 0:
         return ComICSeedSelection(seeds=(), num_rr_sets=0, coverage_fraction=0.0)
     state = comic_rr_sketch(

@@ -45,19 +45,18 @@ def rr_cim(
     ell: float = 1.0,
     rng: Optional[np.random.Generator] = None,
     num_forward_worlds: int = 20,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> RRCIMResult:
     """Run RR-CIM for two items.
 
     Parameters mirror :func:`repro.baselines.rr_sim.rr_sim_plus` (including
-    the ``ctx`` engine context; the removed ``backend=`` keyword raises);
+    the ``ctx`` engine context);
     by default RR-CIM optimizes the *other* item than RR-SIM+ does,
     matching the paper's setup ("given seed set of item i2 (resp. i1),
     RR-SIM+ (resp. RR-CIM) finds seed set of item i1 (resp. i2)").
     """
-    ctx = ensure_context(ctx, backend=backend, rng=rng, caller="rr_cim")
+    ctx = ensure_context(ctx, rng=rng, caller="rr_cim")
     other_item = 1 - select_item
     seeds_other = imm(
         graph, budgets[other_item], epsilon=epsilon, ell=ell, ctx=ctx

@@ -348,9 +348,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     backend = getattr(args, "rr_backend", None)
     if not backend:
         return _run_with_trace(args)
-    # RRCollection resolves $REPRO_RR_BACKEND at construction time, so
-    # exporting reconfigures every algorithm the subcommand runs; restored
-    # afterwards so in-process callers don't inherit the choice.
+    # EngineContext.create resolves $REPRO_RR_BACKEND at construction
+    # time, so exporting reconfigures every algorithm the subcommand runs;
+    # restored afterwards so in-process callers don't inherit the choice.
     # repro-lint: disable=RL002 --rr-backend is the documented process knob
     saved = os.environ.get(BACKEND_ENV)
     os.environ[BACKEND_ENV] = backend  # repro-lint: disable=RL002 see above

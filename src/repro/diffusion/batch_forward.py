@@ -541,8 +541,8 @@ def warn_uic_item_cap_fallback(
             f"batched UIC engine supports at most {MAX_BATCH_ITEMS} items; "
             f"model has {model.num_items} — falling back to the sequential "
             "per-world simulator (expect an order-of-magnitude slowdown). "
-            "Shrink the item universe or pass backend='sequential' to "
-            "silence this warning.",
+            "Shrink the item universe or pass a sequential-backend "
+            "EngineContext to silence this warning.",
             UserWarning,
             stacklevel=stacklevel,
         )

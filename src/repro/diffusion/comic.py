@@ -168,7 +168,6 @@ def estimate_comic_spread(
     item: int,
     num_samples: int = 200,
     rng: Optional[object] = None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> float:
@@ -188,17 +187,14 @@ def estimate_comic_spread(
     :func:`repro.diffusion.batch_forward.batch_simulate_comic`, all worlds
     at once —, or ``parallel`` — the worlds sharded over the persistent
     worker pool, each shard a batched run seeded from its own
-    ``SeedSequence`` child.  The removed legacy ``backend=`` keyword
-    raises ``TypeError``.
+    ``SeedSequence`` child.
     """
     from repro.diffusion.batch_forward import batch_simulate_comic
     from repro.engine import ensure_context
 
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="estimate_comic_spread"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="estimate_comic_spread")
     parallel = ctx.is_parallel
     if parallel and not ctx.has_lineage:
         from repro.parallel import lineage_fallback

@@ -133,7 +133,6 @@ def estimate_welfare_personalized(
     allocation: Iterable[Tuple[int, int]],
     num_samples: int = 200,
     rng=None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> float:
@@ -156,9 +155,7 @@ def estimate_welfare_personalized(
         raise ValueError(f"num_samples must be positive, got {num_samples}")
     from repro.engine import ensure_context
 
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="estimate_welfare_personalized"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="estimate_welfare_personalized")
     allocation = list(allocation)
 
     from repro.diffusion.batch_forward import (

@@ -6,9 +6,8 @@ jointly by sampling full possible worlds.  A fixed noise world can be supplied
 to estimate ``ρ_{W^N}(𝒮)`` (the quantity the block-accounting analysis fixes).
 
 Both estimators accept the unified :class:`repro.engine.EngineContext`
-(``ctx=``); ``rng=`` builds an equivalent context (the removed legacy
-``backend=`` keyword raises ``TypeError``).  ``rng`` may also be a plain
-integer seed — it is expanded through ``SeedSequence`` so that on the
+(``ctx=``); ``rng=`` builds an equivalent context.  ``rng`` may also be a
+plain integer seed — it is expanded through ``SeedSequence`` so that on the
 sequential engine each world draws from its own spawned child stream
 (world ``i`` depends only on ``(seed, i)``), matching
 :func:`repro.diffusion.comic.estimate_comic_spread`.  On the ``parallel``
@@ -79,7 +78,6 @@ def estimate_welfare(
     rng=None,
     noise_world: Optional[NoiseWorld] = None,
     triggering=None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> WelfareEstimate:
@@ -110,7 +108,6 @@ def estimate_welfare(
         raise ValueError(f"num_samples must be positive, got {num_samples}")
     ctx = ensure_context(
         ctx,
-        backend=backend,
         rng=rng,
         triggering=triggering,
         caller="estimate_welfare",
@@ -190,22 +187,19 @@ def estimate_adoption(
     num_samples: int = 200,
     rng=None,
     item: Optional[int] = None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> WelfareEstimate:
     """Estimate expected adoptions (all items, or one item's adopter count).
 
     This is the σ-style objective the multi-item IM baselines optimize; the
-    paper contrasts it with welfare.  ``ctx``/``backend``/``rng`` follow
+    paper contrasts it with welfare.  ``ctx``/``rng`` follow
     :func:`estimate_welfare`'s conventions, including integer seeds via
     ``SeedSequence`` children.
     """
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="estimate_adoption"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="estimate_adoption")
     allocation = list(allocation)
     batched = ctx.is_batched
     supported = supports_batched_uic(model, None)

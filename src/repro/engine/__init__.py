@@ -3,23 +3,19 @@
 from repro.engine.context import (
     BACKEND_ENV,
     BACKENDS,
-    LEGACY_KWARG_MESSAGE,
     EngineContext,
     WorldCursor,
     ensure_context,
     is_batched,
-    reject_legacy_kwarg,
     resolve_backend,
 )
 
 __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
-    "LEGACY_KWARG_MESSAGE",
     "EngineContext",
     "WorldCursor",
     "ensure_context",
     "is_batched",
-    "reject_legacy_kwarg",
     "resolve_backend",
 ]

@@ -25,12 +25,10 @@ names one reproducible execution: two runs handed equal contexts consume
 identical randomness and identical world pairings on every layer.
 
 Every public entry point routes its arguments through
-:func:`ensure_context`: ``ctx=`` is the one supported spelling of
-execution state, ``rng=`` rides into a fresh context unchanged (it was
-never deprecated), and the removed legacy ``backend=`` / ``seed=``
-keywords raise a :class:`TypeError` naming ``ctx=`` as the replacement —
-the one-release deprecation window of the EngineContext migration is
-over.
+:func:`ensure_context`: ``ctx=`` is the one spelling of backend and seed
+state, and ``rng=`` rides into a fresh context unchanged.  Entry points
+declare no ``backend=`` / ``seed=`` keywords, so passing one is Python's
+own unexpected-keyword :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -44,12 +42,10 @@ import numpy as np
 __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
-    "LEGACY_KWARG_MESSAGE",
     "EngineContext",
     "WorldCursor",
     "ensure_context",
     "is_batched",
-    "reject_legacy_kwarg",
     "resolve_backend",
 ]
 
@@ -58,14 +54,6 @@ BACKEND_ENV = "REPRO_RR_BACKEND"
 
 #: Recognized backend names.
 BACKENDS = ("sequential", "batched", "parallel")
-
-#: The pinned removal text (tests assert on this exact template).
-LEGACY_KWARG_MESSAGE = (
-    "{caller}: the legacy {kwarg} keyword was removed with the "
-    "EngineContext migration; build an EngineContext "
-    "(repro.engine.EngineContext.create(...)) and pass it as ctx= instead."
-)
-
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a backend name: explicit > ``$REPRO_RR_BACKEND`` > batched.
@@ -326,16 +314,9 @@ class EngineContext:
         )
 
 
-def reject_legacy_kwarg(caller: str, kwarg: str) -> None:
-    """Raise the pinned removed-legacy-kwarg TypeError."""
-    raise TypeError(LEGACY_KWARG_MESSAGE.format(caller=caller, kwarg=kwarg))
-
-
 def ensure_context(
     ctx: Optional[EngineContext],
     *,
-    backend: Optional[str] = None,
-    seed: Optional[Union[int, np.integer]] = None,
     rng: Optional[Union[np.random.Generator, int, np.integer]] = None,
     triggering=None,
     caller: str = "this function",
@@ -350,16 +331,9 @@ def ensure_context(
     overlays the context when the context itself carries none — two
     *different* triggering sources are a :class:`TypeError` like every
     other conflict).  Without ``ctx`` an equivalent context is built from
-    ``rng=`` (never deprecated — it rides into the context unchanged).
-    The removed legacy ``backend=`` / ``seed=`` keywords raise a
-    :class:`TypeError` naming ``ctx=`` as the supported spelling, whether
-    or not a context was passed.
+    ``rng=`` (it rides into the context unchanged).
     """
     if ctx is not None:
-        if backend is not None:
-            reject_legacy_kwarg(caller, "backend=")
-        if seed is not None:
-            reject_legacy_kwarg(caller, "seed=")
         if rng is not None:
             raise TypeError(
                 f"{caller}: pass either ctx= or rng=, not both"
@@ -372,11 +346,4 @@ def ensure_context(
                 )
             return ctx.with_triggering(triggering)
         return ctx
-    if backend is not None:
-        reject_legacy_kwarg(caller, "backend=")
-    if seed is not None:
-        reject_legacy_kwarg(caller, "seed=")
-    return EngineContext.create(
-        rng=rng,
-        triggering=triggering,
-    )
+    return EngineContext.create(rng=rng, triggering=triggering)

@@ -59,7 +59,6 @@ def run_two_item_experiment(
     seed: int = 0,
     comic_forward_worlds: int = 10,
     graph: Optional[InfluenceGraph] = None,
-    backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> List[TwoItemRun]:
     """Run the two-item sweep for one Table 3 configuration.
@@ -77,27 +76,22 @@ def run_two_item_experiment(
         Subset of :data:`TWO_ITEM_ALGORITHMS` to run.
     num_samples:
         MC samples per welfare estimate.
-    backend:
-        Removed — raises ``TypeError``; pass
-        ``ctx=EngineContext.create(backend=...)`` instead.  A ``None``
-        ``ctx`` resolves ``$REPRO_RR_BACKEND`` (default
-        batched) — the same switch every algorithm reads at context
-        construction, so the CLI's ``--rr-backend`` reconfigures the whole
-        run.
     ctx:
         Policy :class:`repro.engine.EngineContext`: its backend (and
         triggering) apply to every algorithm run; each (algorithm, budget)
         pair still derives a fresh RNG stream from ``seed`` via
         ``ctx.with_stream``, so runs stay independent and reproducible.
+        A ``None`` ``ctx`` resolves ``$REPRO_RR_BACKEND`` (default
+        batched) — the same switch every algorithm reads at context
+        construction, so the CLI's ``--rr-backend`` reconfigures the whole
+        run.
 
     Returns
     -------
     list of TwoItemRun
         One entry per (algorithm, budget vector).
     """
-    policy = ensure_context(
-        ctx, backend=backend, caller="run_two_item_experiment"
-    )
+    policy = ensure_context(ctx, caller="run_two_item_experiment")
     unknown = set(algorithms) - set(TWO_ITEM_ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")

@@ -34,7 +34,6 @@ def run_fig4(
     num_samples: int = 100,
     seed: int = 0,
     graph: Optional[InfluenceGraph] = None,
-    backend: Optional[str] = None,
     ctx=None,
 ) -> List[TwoItemRun]:
     """Regenerate one panel of Fig. 4 (configs 1–4 → panels a–d).
@@ -52,7 +51,6 @@ def run_fig4(
         num_samples=num_samples,
         seed=seed,
         graph=graph,
-        backend=backend,
         ctx=ctx,
     )
 

@@ -39,7 +39,6 @@ def run_fig5(
     num_samples: int = 20,
     seed: int = 0,
     comic_networks: Sequence[str] = COMIC_NETWORKS,
-    backend: Optional[str] = None,
     ctx=None,
 ) -> Dict[str, List[TwoItemRun]]:
     """Regenerate the four panels of Fig. 5 (config 1, times per network).
@@ -65,7 +64,6 @@ def run_fig5(
             algorithms=algorithms,
             num_samples=num_samples,
             seed=seed,
-            backend=backend,
             ctx=ctx,
         )
     return panels

@@ -50,7 +50,6 @@ def run_fig7(
     ell: float = 1.0,
     seed: int = 0,
     graph: Optional[InfluenceGraph] = None,
-    backend: Optional[str] = None,
     ctx=None,
 ) -> List[MultiItemRun]:
     """Regenerate one panel of Fig. 7 (configs 5–8 → panels a–d).
@@ -61,7 +60,7 @@ def run_fig7(
     """
     from repro.engine import ensure_context
 
-    policy = ensure_context(ctx, backend=backend, caller="run_fig7")
+    policy = ensure_context(ctx, caller="run_fig7")
     unknown = set(algorithms) - set(MULTI_ITEM_ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")

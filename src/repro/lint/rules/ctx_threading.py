@@ -5,11 +5,11 @@ of backend/seed/triggering state.  This rule keeps it that way:
 
 * **params** — functions under ``rrset/``, ``diffusion/``, ``baselines/``
   and ``store/`` may not (re)introduce working ``backend=`` / ``seed=``
-  keywords.  A parameter with those names is allowed only as a *tombstone*
-  or engine hand-off: every read of it must be an ``is None`` presence
-  guard or an argument to the engine's own entry points
-  (``ensure_context``, ``reject_legacy_kwarg``, ``_builder_context``,
-  ``EngineContext.create``, ``is_batched``, ``SeedSequence``).
+  keywords.  A parameter with those names is allowed only as an engine
+  hand-off: every read of it must be an argument to
+  ``EngineContext.create``, ``is_batched`` or ``SeedSequence``.  A
+  parameter kept only to be rejected is flagged too — Python already
+  rejects a keyword the signature does not declare.
 * **resolution** — no call to ``resolve_backend`` and no read/write of
   ``os.environ["REPRO_RR_BACKEND"]`` outside ``repro.engine``: backend
   resolution happens exactly once, at context construction.
@@ -26,7 +26,6 @@ from typing import Iterable, List
 from repro.lint._ast_utils import (
     arg_nodes,
     call_name,
-    is_none_check,
     walk_functions,
 )
 from repro.lint.diagnostics import Diagnostic
@@ -40,11 +39,8 @@ _CTX_DIRS = (
 )
 
 #: Callees a backend=/seed= parameter may legitimately flow into: the
-#: engine's context constructors and capability helpers.
+#: engine's context constructor and capability helpers.
 _ALLOWED_SINKS = {
-    "ensure_context",
-    "reject_legacy_kwarg",
-    "_builder_context",
     "create",  # EngineContext.create
     "is_batched",
     "SeedSequence",  # np.random.SeedSequence lineage roots
@@ -129,32 +125,10 @@ class CtxThreadingRule(Rule):
         ]
         if not loads:
             return None
-        # ``backend = ctx.backend`` rebinds the name to the *resolved*
-        # value; loads after that line read the context, not the kwarg.
-        rebind_line = None
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == name
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == name
-            ):
-                rebind_line = node.lineno
-                break
-        offending: List[ast.Name] = []
-        for load in loads:
-            if rebind_line is not None and load.lineno > rebind_line:
-                continue
-            if not self._load_allowed(file, load, name):
-                offending.append(load)
-        return offending
+        return [load for load in loads if not self._load_allowed(file, load)]
 
-    def _load_allowed(self, file: LintFile, load: ast.Name, name: str) -> bool:
+    def _load_allowed(self, file: LintFile, load: ast.Name) -> bool:
         for ancestor in file.ancestors(load):
-            if isinstance(ancestor, ast.Compare) and is_none_check(ancestor, name):
-                return True
             if isinstance(ancestor, ast.Call):
                 callee = (call_name(ancestor) or "").rsplit(".", maxsplit=1)[-1]
                 if callee in _ALLOWED_SINKS and any(

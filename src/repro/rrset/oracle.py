@@ -61,7 +61,6 @@ class InfluenceOracle:
         rng: Optional[np.random.Generator] = None,
         estimation_rr_sets: int = 10_000,
         triggering=None,
-        backend: Optional[str] = None,
         *,
         ctx=None,
     ):
@@ -69,7 +68,6 @@ class InfluenceOracle:
             raise ValueError(f"max_budget must be positive, got {max_budget}")
         ctx = ensure_context(
             ctx,
-            backend=backend,
             rng=rng,
             triggering=triggering,
             caller="InfluenceOracle",

@@ -200,17 +200,17 @@ class RRCollection:
     graph, rng, triggering:
         As before: the network, the randomness source, and an optional
         triggering model (``None`` = IC fast path).
-    backend:
-        ``"sequential"`` (per-set Python BFS, exact historical RNG stream),
-        ``"batched"`` (vectorized frontier expansion), or ``None`` to resolve
-        from ``$REPRO_RR_BACKEND`` (default batched).  Triggering models
-        without a batched sampler fall back to sequential automatically.
     ctx:
         A :class:`repro.engine.EngineContext` supplying rng/backend/
-        triggering in one object (the supported spelling since the engine
-        refactor).  Mutually exclusive with ``rng``/``backend``; an
-        explicit ``triggering`` argument is allowed only when the context
-        carries none (two triggering sources are a ``TypeError``).
+        triggering in one object.  Its backend is ``"sequential"``
+        (per-set Python BFS, exact historical RNG stream) or
+        ``"batched"``/``"parallel"`` (vectorized frontier expansion);
+        triggering models without a batched sampler fall back to
+        sequential automatically.  Without a context, ``rng`` rides into
+        a fresh one whose backend resolves from ``$REPRO_RR_BACKEND``
+        (default batched).  Mutually exclusive with ``rng``; an explicit
+        ``triggering`` argument is allowed only when the context carries
+        none (two triggering sources are a ``TypeError``).
     """
 
     def __init__(
@@ -218,15 +218,13 @@ class RRCollection:
         graph: InfluenceGraph,
         rng: Optional[np.random.Generator] = None,
         triggering: Optional[TriggeringModel] = None,
-        backend: Optional[str] = None,
         *,
         ctx=None,
     ):
         if ctx is not None:
-            if rng is not None or backend is not None:
+            if rng is not None:
                 raise TypeError(
-                    "RRCollection: pass either ctx= or rng=/backend=, "
-                    "not both"
+                    "RRCollection: pass either ctx= or rng=, not both"
                 )
             if triggering is not None and ctx.triggering is not None:
                 raise TypeError(
@@ -238,9 +236,9 @@ class RRCollection:
                 triggering = ctx.triggering
         else:
             # Backend/seed resolution happens in the engine, nowhere else:
-            # the legacy (rng, backend) spelling builds an equivalent
-            # context and reads the resolved fields back.
-            ctx = EngineContext.create(backend=backend, rng=rng)
+            # a plain rng builds an equivalent context and the resolved
+            # fields are read back.
+            ctx = EngineContext.create(rng=rng)
         if triggering is not None:
             triggering.validate(graph)
         self._graph = graph
@@ -548,8 +546,6 @@ class RRCollection:
         *,
         index: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         triggering: Optional[TriggeringModel] = None,
-        # repro-lint: disable=RL002 forwarded verbatim into cls()'s resolution
-        backend: Optional[str] = None,
         ctx=None,
     ) -> "RRCollection":
         """Rebuild a collection from flat CSR arrays without regeneration.
@@ -561,9 +557,7 @@ class RRCollection:
         instead of rebuilding.  Read-only inputs (memory-mapped store
         arrays) are copied into writable growth buffers.
         """
-        collection = cls(
-            graph, rng, triggering=triggering, backend=backend, ctx=ctx
-        )
+        collection = cls(graph, rng, triggering=triggering, ctx=ctx)
         members = np.asarray(members, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets.shape[0] < 1 or offsets[0] != 0:

@@ -47,7 +47,6 @@ def ssa(
     ell: float = 1.0,
     rng: Optional[np.random.Generator] = None,
     max_rounds: int = 20,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> SSAResult:
@@ -56,10 +55,9 @@ def ssa(
     Stops when the validation estimate of the chosen seeds' influence is
     within ``(1 − ε/2)`` of the optimization estimate, doubling the batch
     otherwise.  ``max_rounds`` bounds the doubling (the full algorithm's
-    theoretical cap is implied by its ε-budget split).  The removed
-    legacy ``backend=`` keyword raises ``TypeError``; pass ``ctx=``.
+    theoretical cap is implied by its ε-budget split).
     """
-    ctx = ensure_context(ctx, backend=backend, rng=rng, caller="ssa")
+    ctx = ensure_context(ctx, rng=rng, caller="ssa")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     n = graph.num_nodes

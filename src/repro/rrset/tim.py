@@ -129,7 +129,6 @@ def tim(
     epsilon: float = 0.5,
     ell: float = 1.0,
     rng: Optional[np.random.Generator] = None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> TIMResult:
@@ -140,10 +139,9 @@ def tim(
     vectorized call (widths via :func:`repro.rrset.batch.rr_set_widths`)
     and the θ phase through the batched :class:`RRCollection`;
     ``sequential`` reproduces the historical per-set streams; see
-    :func:`repro.rrset.prima.prima`.  The removed legacy ``backend=``
-    keyword raises ``TypeError``; pass ``ctx=``.
+    :func:`repro.rrset.prima.prima`.
     """
-    ctx = ensure_context(ctx, backend=backend, rng=rng, caller="tim")
+    ctx = ensure_context(ctx, rng=rng, caller="tim")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     n = graph.num_nodes

@@ -33,9 +33,9 @@ Entry points, one output type:
   save/load round trip is transparent: the extension is byte-identical to
   growing the original live state by the same amount.
 
-Every builder accepts a :class:`~repro.engine.EngineContext` (``ctx=``);
-the removed legacy ``seed=``/``backend=`` kwargs raise ``TypeError``
-naming the ``ctx=`` replacement.
+Every builder takes its execution state as one
+:class:`~repro.engine.EngineContext` (``ctx=``); without one it uses the
+seed-0 lineage.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
-from repro.engine import EngineContext
-from repro.engine.context import reject_legacy_kwarg
+from repro.engine import EngineContext, ensure_context
 from repro.graph.digraph import InfluenceGraph
 from repro.rrset.batch import rr_set_widths
 from repro.rrset.oracle import InfluenceOracle
@@ -109,36 +108,6 @@ def _triggering_name(triggering) -> Optional[str]:
     )
 
 
-def _builder_context(
-    ctx: Optional[EngineContext],
-    seed: Optional[int],
-    backend: Optional[str],
-    triggering,
-    caller: str,
-) -> EngineContext:
-    """The builders' context normalizer.
-
-    Builders historically took an integer ``seed`` (default 0) and a
-    ``backend`` string; both were removed with the EngineContext
-    migration and now raise ``TypeError`` naming the replacement
-    (``EngineContext.create(seed=..., backend=...)`` passed as ``ctx=``).
-    """
-    if seed is not None:
-        reject_legacy_kwarg(caller, "seed=")
-    if backend is not None:
-        reject_legacy_kwarg(caller, "backend=")
-    if ctx is not None:
-        if triggering is not None:
-            if ctx.triggering is not None:
-                raise TypeError(
-                    f"{caller}: the context already carries a triggering "
-                    "model; pass either ctx= or triggering=, not both"
-                )
-            return ctx.with_triggering(triggering)
-        return ctx
-    return EngineContext.create(seed=0, triggering=triggering)
-
-
 @_timed_builder("build_store")
 def build_store(
     graph: InfluenceGraph,
@@ -146,10 +115,8 @@ def build_store(
     *,
     epsilon: float = 0.5,
     ell: float = 1.0,
-    seed: Optional[int] = None,
     estimation_rr_sets: int = 10_000,
     triggering: Optional[str] = None,
-    backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> SketchStore:
     """Build a store by running the in-memory oracle's preprocessing.
@@ -160,7 +127,11 @@ def build_store(
     in-memory oracle's exact numbers.  Without ``ctx`` the builder uses
     the seed-0 lineage (the historical default).
     """
-    ctx = _builder_context(ctx, seed, backend, triggering, "build_store")
+    ctx = ensure_context(
+        ctx if ctx is not None else EngineContext.create(seed=0),
+        triggering=triggering,
+        caller="build_store",
+    )
     # Fail fast on unpersistable triggering models (before the PRIMA run).
     _triggering_name(
         triggering if triggering is not None else ctx.triggering
@@ -185,10 +156,8 @@ def build_sharded(
     processes: Optional[int] = None,
     epsilon: float = 0.5,
     ell: float = 1.0,
-    seed: Optional[int] = None,
     estimation_rr_sets: int = 10_000,
     triggering: Optional[str] = None,
-    backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> SketchStore:
     """Build a store with the estimation collection sampled in parallel.
@@ -219,7 +188,11 @@ def build_sharded(
         raise ValueError(
             f"estimation_rr_sets must be non-negative, got {estimation_rr_sets}"
         )
-    ctx = _builder_context(ctx, seed, backend, triggering, "build_sharded")
+    ctx = ensure_context(
+        ctx if ctx is not None else EngineContext.create(seed=0),
+        triggering=triggering,
+        caller="build_sharded",
+    )
     if not ctx.has_lineage:
         raise ValueError(
             "build_sharded needs a seed-rooted EngineContext (integer "
@@ -228,7 +201,6 @@ def build_sharded(
     name = _triggering_name(
         triggering if triggering is not None else ctx.triggering
     )
-    backend = ctx.backend
     # children[0]: PRIMA; [1..num_shards]: shards; [-1]: extension stream.
     children = ctx.seed_seq.spawn(num_shards + 2)
 
@@ -242,7 +214,7 @@ def build_sharded(
         epsilon=epsilon,
         ell=ell,
         ctx=EngineContext.create(
-            backend=backend,
+            backend=ctx.backend,
             rng=np.random.default_rng(children[0]),
             triggering=name,
         ),
@@ -251,7 +223,7 @@ def build_sharded(
     base, extra = divmod(int(estimation_rr_sets), num_shards)
     counts = [base + (1 if i < extra else 0) for i in range(num_shards)]
     jobs = [
-        (children[1 + i], counts[i], name, backend)
+        (children[1 + i], counts[i], name, ctx.backend)
         for i in range(num_shards)
         if counts[i] > 0
     ]
@@ -286,7 +258,7 @@ def build_sharded(
         max_budget=capped,
         epsilon=float(epsilon),
         ell=float(ell),
-        backend=backend,
+        backend=ctx.backend,
         triggering=name,
         world_cursor=0,
         rng_state=np.random.default_rng(children[-1]).bit_generator.state,
@@ -335,8 +307,6 @@ def build_comic_store(
     ell: float = 1.0,
     num_forward_worlds: int = 20,
     extra_forward_pass: bool = False,
-    seed: Optional[int] = None,
-    backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> SketchStore:
     """Build a GAP-aware Com-IC sketch store (RR-SIM+ / RR-CIM pipeline).
@@ -361,7 +331,8 @@ def build_comic_store(
 
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    ctx = _builder_context(ctx, seed, backend, None, "build_comic_store")
+    if ctx is None:
+        ctx = EngineContext.create(seed=0)
     if ctx.triggering is not None:
         raise SketchStoreError(
             "comic stores sample under the Com-IC GAP model; a context "
@@ -433,16 +404,17 @@ def _extend_comic(
     store: SketchStore,
     graph: InfluenceGraph,
     add: int,
-    backend: Optional[str],
+    ctx: EngineContext,
 ) -> SketchStore:
     """Com-IC θ-extension: restore sampler state, sample, re-select.
 
     Rebuilds the :class:`~repro.baselines._comic_common._GapSampler`
-    around the persisted RNG state, world cursor and forward-world bitmap,
-    draws ``add`` more GAP RR sets (byte-identical to uninterrupted
-    growth), merges the delta into the inverted index incrementally, and
-    re-runs greedy max coverage on the grown collection so the stored
-    seeds stay the selection the full sketch implies.
+    around the persisted RNG state and world cursor (both carried by
+    ``ctx``) and the forward-world bitmap, draws ``add`` more GAP RR sets
+    (byte-identical to uninterrupted growth), merges the delta into the
+    inverted index incrementally, and re-runs greedy max coverage on the
+    grown collection so the stored seeds stay the selection the full
+    sketch implies.
     """
     from repro.baselines._comic_common import (
         _GapSampler,
@@ -451,14 +423,6 @@ def _extend_comic(
     from repro.rrset.node_selection import greedy_max_coverage
 
     comic = store.comic or {}
-    rng = store.restore_rng()
-    # create() validates the backend (legacy overrides and persisted
-    # headers alike) and seeds the cursor at the persisted position.
-    ctx = EngineContext.create(
-        backend=backend if backend is not None else store.backend,
-        rng=rng,
-        world_cursor=int(store.world_cursor),
-    )
     sampler = _GapSampler(
         graph,
         q_plain=float(comic["q_plain"]),
@@ -535,7 +499,6 @@ def extend_store(
     graph: InfluenceGraph,
     add: int,
     *,
-    # repro-lint: disable=RL002 documented persisted-state override, see docstring
     backend: Optional[str] = None,
 ) -> SketchStore:
     """Grow a loaded store by ``add`` RR sets without regenerating.
@@ -567,24 +530,23 @@ def extend_store(
     if add < 0:
         raise ValueError(f"add must be non-negative, got {add}")
     store.verify_graph(graph)
-    if store.model == "comic":
-        return _extend_comic(store, graph, add, backend)
-    from repro.diffusion.triggering import resolve_triggering
-
-    trig = (
-        resolve_triggering(store.triggering)
-        if store.triggering is not None
-        else None
+    # create() validates the backend (override and persisted header
+    # alike) and restores the persisted stream, cursor and triggering.
+    ctx = EngineContext.create(
+        backend=backend if backend is not None else store.backend,
+        rng=store.restore_rng(),
+        triggering=store.triggering,
+        world_cursor=int(store.world_cursor),
     )
-    rng = store.restore_rng()
+    if store.model == "comic":
+        return _extend_comic(store, graph, add, ctx)
     collection = RRCollection.from_flat(
         graph,
-        rng,
+        None,
         store.members,
         store.offsets,
         index=(store.idx_sets, store.idx_indptr),
-        triggering=trig,
-        backend=backend if backend is not None else store.backend,
+        ctx=ctx,
     )
     collection.generate(int(add))
     return SketchStore.from_collection(

@@ -19,3 +19,12 @@ def spread_with_knob(graph, k, backend="sequential", seed=None):
 def silently_ignored(graph, backend=None):
     # 'backend' accepted but never read: a no-op execution-state kwarg.
     return graph
+
+
+def spread(graph, k, ctx=None, backend=None, seed=None):
+    # Tombstone: kwargs kept only to be rejected.  Python already rejects
+    # an undeclared keyword, so a shim like this is dead weight.
+    from repro.engine import ensure_context
+
+    ctx = ensure_context(ctx, backend=backend, seed=seed, caller="spread")
+    return graph, k, ctx

@@ -1,22 +1,17 @@
-"""RL002 fixture: tombstone/threading patterns that must lint clean."""
+"""RL002 fixture: ctx-threading patterns that must lint clean."""
 
 from repro.engine import EngineContext, ensure_context, is_batched
 
 
-def spread(graph, k, ctx=None, backend=None, seed=None):
-    # Tombstone entry point: the kwargs exist only to be rejected or
-    # resolved by the engine, never read directly.
-    ctx = ensure_context(
-        ctx, backend=backend, seed=seed, caller="spread"
-    )
+def spread(graph, k, ctx=None, rng=None):
+    # Execution state arrives as ctx= (or a plain rng= riding into one).
+    ctx = ensure_context(ctx, rng=rng, caller="spread")
     if ctx.is_batched:
         return _batched(graph, k, ctx)
     return _sequential(graph, k, ctx)
 
 
 def legacy_constructor(graph, backend=None):
-    if backend is None:
-        backend = "batched"
     ctx = EngineContext.create(backend=backend)
     return graph, ctx
 

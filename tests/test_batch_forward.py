@@ -639,13 +639,13 @@ class TestGenericTriggeringRRSets:
         model = AttentionICTriggering(max_attention=3)
         count = 4000
         sequential = RRCollection(
-            graph, np.random.default_rng(1), triggering=model,
-            backend="sequential",
+            graph, triggering=model,
+            ctx=_ctx("sequential", np.random.default_rng(1)),
         )
         sequential.generate(count)
         batched = RRCollection(
-            graph, np.random.default_rng(2), triggering=model,
-            backend="batched",
+            graph, triggering=model,
+            ctx=_ctx("batched", np.random.default_rng(2)),
         )
         batched.generate(count)
         assert batched.num_sets == sequential.num_sets == count
@@ -670,8 +670,8 @@ class TestGenericTriggeringRRSets:
         assert supports_batched(model)
         graph = random_wc_graph(50, avg_degree=4, seed=1)
         collection = RRCollection(
-            graph, np.random.default_rng(0), triggering=model,
-            backend="batched",
+            graph, triggering=model,
+            ctx=_ctx("batched", np.random.default_rng(0)),
         )
         collection.generate(20)
         assert collection.num_sets == 20
@@ -725,14 +725,16 @@ class TestForwardAdopterWorlds:
 
     def test_gap_sampler_rejects_bitmap_on_sequential(self, wc400):
         sampler = _GapSampler(
-            wc400, np.random.default_rng(0), 0.5, 0.84, "sequential"
+            wc400, q_plain=0.5, q_boosted=0.84,
+            ctx=_ctx("sequential", np.random.default_rng(0)),
         )
         with pytest.raises(ValueError):
             sampler.set_worlds(np.zeros((2, 400), dtype=bool))
 
     def test_gap_sampler_accepts_empty_bitmap(self, wc400):
         sampler = _GapSampler(
-            wc400, np.random.default_rng(0), 0.5, 0.84, "batched"
+            wc400, q_plain=0.5, q_boosted=0.84,
+            ctx=_ctx("batched", np.random.default_rng(0)),
         )
         sampler.set_worlds(np.zeros((0, 400), dtype=bool))
         members, lengths = sampler.sample(8)

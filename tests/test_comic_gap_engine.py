@@ -159,7 +159,10 @@ class TestBatchedGapSampler:
         stats = {}
         for backend in ("sequential", "batched"):
             sampler = _GapSampler(
-                g, np.random.default_rng(13), 0.55, 0.9, backend
+                g, q_plain=0.55, q_boosted=0.9,
+                ctx=EngineContext.create(
+                    backend=backend, rng=np.random.default_rng(13)
+                ),
             )
             sampler.set_worlds(worlds)
             members, lengths = sampler.sample(count)
@@ -190,7 +193,12 @@ class TestWorldCursor:
         # nonempty iff world (cursor + j) % 2 == 0.  A second sample() call
         # must continue the alternation, not restart at world 0.
         g = InfluenceGraph(1, [])
-        sampler = _GapSampler(g, np.random.default_rng(0), 0.0, 1.0, backend)
+        sampler = _GapSampler(
+            g, q_plain=0.0, q_boosted=1.0,
+            ctx=EngineContext.create(
+                backend=backend, rng=np.random.default_rng(0)
+            ),
+        )
         sampler.set_worlds([{0}, set()])
         _, first = sampler.sample(3)
         assert first.tolist() == [1, 0, 1]
@@ -204,7 +212,12 @@ class TestWorldCursor:
         # RR-CIM refreshes the world list between the KPT and θ phases; the
         # cursor must survive the refresh.
         g = InfluenceGraph(1, [])
-        sampler = _GapSampler(g, np.random.default_rng(0), 0.0, 1.0, backend)
+        sampler = _GapSampler(
+            g, q_plain=0.0, q_boosted=1.0,
+            ctx=EngineContext.create(
+                backend=backend, rng=np.random.default_rng(0)
+            ),
+        )
         sampler.set_worlds([{0}, set()])
         sampler.sample(3)
         sampler.set_worlds([{0}, set(), set()])  # now period 3, cursor 3
@@ -216,7 +229,10 @@ class TestWorldCursor:
         g = random_wc_graph(150, avg_degree=5, seed=4)
         worlds = [set(range(0, 150, 4)), set(range(1, 150, 7))]
         sampler = _GapSampler(
-            g, np.random.default_rng(21), 0.6, 0.9, "sequential"
+            g, q_plain=0.6, q_boosted=0.9,
+            ctx=EngineContext.create(
+                backend="sequential", rng=np.random.default_rng(21)
+            ),
         )
         sampler.set_worlds(worlds)
         members, lengths = sampler.sample(40)

@@ -7,9 +7,9 @@ Four contracts (DESIGN.md §5):
   backends and, for environment typos, the offending variable; integer
   seeds establish a ``SeedSequence`` lineage whose stream equals the
   historical ``default_rng(seed)``.
-* **Legacy-kwarg removal** — the one-release ``backend=``/``seed=``
-  deprecation shim is gone: passing either kwarg to any public entry
-  point raises ``TypeError`` naming ``ctx=`` as the supported spelling;
+* **Legacy-kwarg removal** — ``ctx=`` is the one spelling of backend
+  and seed state: no public entry point declares ``backend=``/``seed=``,
+  so passing either is Python's own unexpected-keyword ``TypeError``;
   plain ``rng=`` remains first-class.
 * **Integer-seed uniformity** — ``estimate_welfare``,
   ``estimate_adoption`` and ``estimate_welfare_personalized`` accept plain
@@ -62,7 +62,12 @@ def wc300():
 @pytest.fixture(scope="module")
 def spread_estimator(wc300):
     """One shared, independent RR collection scoring every selector."""
-    est = RRCollection(wc300, np.random.default_rng(999), backend="batched")
+    est = RRCollection(
+        wc300,
+        ctx=EngineContext.create(
+            backend="batched", rng=np.random.default_rng(999)
+        ),
+    )
     est.extend_to(4000)
     return est
 
@@ -169,31 +174,83 @@ class TestBackendErrors:
     def test_collection_rejects_bad_backend_at_construction(self):
         g = star_graph(4, probability=0.5)
         with pytest.raises(ValueError, match="valid backends"):
-            RRCollection(g, np.random.default_rng(0), backend="bogus")
+            RRCollection(
+                g,
+                ctx=EngineContext.create(
+                    backend="bogus", rng=np.random.default_rng(0)
+                ),
+            )
+
+
+def _removed_kwarg_entry_points():
+    """``(id, callable, positional args)`` for every ctx-only entry point.
+
+    Placeholder positionals suffice: Python binds keywords before the body
+    runs, so an undeclared keyword fails without touching the arguments.
+    """
+    from repro.baselines._comic_common import _GapSampler, comic_rr_selection
+    from repro.experiments._two_item import run_two_item_experiment
+    from repro.experiments.fig4_welfare import run_fig4
+    from repro.experiments.fig5_runtime import run_fig5
+    from repro.experiments.fig7_multi_item import run_fig7
+    from repro.rrset.oracle import InfluenceOracle
+    from repro.store import build_comic_store, build_sharded, build_store
+
+    return [
+        ("prima", prima, (None, [2])),
+        ("imm", imm, (None, 2)),
+        ("tim", tim, (None, 2)),
+        ("ssa", ssa, (None, 2)),
+        ("InfluenceOracle", InfluenceOracle, (None, 2)),
+        ("estimate_welfare", estimate_welfare, (None, None, [])),
+        ("estimate_adoption", estimate_adoption, (None, None, [])),
+        (
+            "estimate_comic_spread",
+            estimate_comic_spread,
+            (None, GAP, [], [], 0),
+        ),
+        (
+            "estimate_welfare_personalized",
+            estimate_welfare_personalized,
+            (None, None, []),
+        ),
+        (
+            "comic_rr_selection",
+            comic_rr_selection,
+            (None, GAP, 1, [], 2, 0.5, 1.0),
+        ),
+        ("rr_sim_plus", rr_sim_plus, (None, GAP, (2, 2))),
+        ("rr_cim", rr_cim, (None, GAP, (2, 2))),
+        ("run_two_item_experiment", run_two_item_experiment, (1,)),
+        ("run_fig4", run_fig4, (1,)),
+        ("run_fig5", run_fig5, ()),
+        ("run_fig7", run_fig7, (5,)),
+        ("build_store", build_store, (None, 2)),
+        ("build_sharded", build_sharded, (None, 2)),
+        ("build_comic_store", build_comic_store, (None, GAP, 2)),
+        ("RRCollection", RRCollection, (None,)),
+        ("RRCollection.from_flat", RRCollection.from_flat, (None,) * 4),
+        ("_GapSampler", _GapSampler, (None,)),
+    ]
+
+
+_BUILDERS = ("build_store", "build_sharded", "build_comic_store")
+_REMOVED_KWARG_CASES = [
+    pytest.param(fn, args, kwarg, id=f"{name}-{kwarg}")
+    for name, fn, args in _removed_kwarg_entry_points()
+    for kwarg in (("backend", "seed") if name in _BUILDERS else ("backend",))
+]
 
 
 class TestLegacyKwargRemoval:
-    def test_backend_kwarg_raises_naming_ctx(self, wc300):
-        with pytest.raises(TypeError, match=r"ctx=") as err:
-            prima(
-                wc300, [4], rng=np.random.default_rng(3),
-                backend="sequential",
-            )
-        assert "backend= keyword" in str(err.value)
-        assert "prima" in str(err.value)
-
-    def test_estimator_backend_kwarg_raises(self, wc300, two_item_model):
-        alloc = [(0, 0), (1, 1)]
-        with pytest.raises(TypeError, match=r"ctx="):
-            estimate_welfare(
-                wc300, two_item_model, alloc, num_samples=5,
-                backend="batched",
-            )
-
-    def test_ctx_plus_legacy_backend_is_an_error(self, wc300):
-        ctx = EngineContext.create()
-        with pytest.raises(TypeError, match=r"ctx="):
-            prima(wc300, [2], backend="batched", ctx=ctx)
+    @pytest.mark.parametrize(("fn", "args", "kwarg"), _REMOVED_KWARG_CASES)
+    def test_plain_type_error(self, fn, args, kwarg):
+        # ctx= is the one spelling of backend/seed state: the keywords are
+        # undeclared, so Python itself rejects them.
+        with pytest.raises(
+            TypeError, match=f"unexpected keyword argument '{kwarg}'"
+        ):
+            fn(*args, **{kwarg: 3 if kwarg == "seed" else "batched"})
 
     def test_ctx_plus_rng_is_an_error(self, wc300):
         ctx = EngineContext.create()
@@ -204,13 +261,6 @@ class TestLegacyKwargRemoval:
         ctx = EngineContext.create(triggering="ic")
         with pytest.raises(TypeError, match="triggering"):
             prima(wc300, [2], triggering="lt", ctx=ctx)
-
-    def test_builder_seed_kwarg_raises(self, wc300):
-        from repro.store import build_store
-
-        with pytest.raises(TypeError, match=r"ctx=") as err:
-            build_store(wc300, 2, seed=3, estimation_rr_sets=50)
-        assert "seed= keyword" in str(err.value)
 
     def test_plain_rng_stays_first_class(self, wc300):
         with warnings.catch_warnings():

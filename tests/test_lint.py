@@ -57,6 +57,9 @@ class TestRL002CtxThreading:
         assert "resolve_backend" in messages
         assert "environ" in messages
         assert "never" in messages  # the silently-ignored kwarg
+        # A tombstone kept only to reject backend=/seed= is flagged too.
+        tombstone = [d.message for d in findings if d.message.startswith("spread()")]
+        assert len(tombstone) == 2
 
     def test_good_fixture_clean(self):
         assert ids_for(GOOD, "src/repro/rrset/rl002_good.py") == []
